@@ -14,7 +14,7 @@ Two cells of the published table are ambiguous in the text (rows 10 and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.apps.base import Application, AppSpec, PipelineApp, TypeCounts
 from repro.apps.catalog import build_schedule
@@ -161,6 +161,24 @@ def make_app(sample_id: int) -> Application:
 
         return OMRCheckerApp()
     return PipelineApp(spec, build_schedule(spec))
+
+
+#: Target names that select the drone case study (Section 5.4.1).
+DRONE_NAMES = ("drone", "drone-tracker")
+
+
+def is_app_target(name: str) -> bool:
+    """Does a target name select an application (a sample id or drone)?"""
+    return name in DRONE_NAMES or name.isdigit()
+
+
+def app_for_target(name: str) -> Application:
+    """The application a target name selects: the drone, or a sample id."""
+    if name in DRONE_NAMES:
+        from repro.apps.drone import DroneApp
+
+        return DroneApp()
+    return make_app(int(name))
 
 
 def all_apps() -> List[Application]:

@@ -269,13 +269,10 @@ def bench_staticcheck() -> Dict[str, Any]:
     or any runtime touch outside the static universe trips the gate
     regardless of tolerance.
     """
-    from repro.apps.base import Workload, execute_app
     from repro.apps.drone import DroneApp
-    from repro.attacks.scenarios import build_gateway
-    from repro.core.runtime import FreePartConfig
+    from repro.faults.campaign import ChaosSettings, traced_run
     from repro.frameworks.syscall_pools import pool_for
     from repro.obs.export import to_chrome_trace
-    from repro.sim.kernel import SimKernel
     from repro.staticcheck.checker import check_source
     from repro.staticcheck.parity import check_trace_parity, universe_from_app
     from repro.staticcheck.privileges import privileges_for_app
@@ -302,11 +299,7 @@ def bench_staticcheck() -> Dict[str, Any]:
             privilege.minimal_allowed() | privilege.minimal_init_only()
         )
 
-    kernel = SimKernel()
-    kernel.enable_tracing()
-    config = FreePartConfig(trace=True, annotations=tuple(app.annotations))
-    gateway = build_gateway("freepart", kernel, app=app, config=config)
-    execute_app(app, gateway, Workload(items=2, image_size=16))
+    kernel = traced_run("drone", ChaosSettings(target="drone"))
     payload = to_chrome_trace(kernel.tracer)
     parity = check_trace_parity(
         universe_from_app(app), payload, "bench-trace"
@@ -346,37 +339,11 @@ def bench_obs_report() -> Dict[str, Any]:
     fixed faulted sweep must keep tripping alerts — losing them means
     request failures stopped reaching the SLO engine.
     """
-    import numpy as np
-
-    from repro.core.runtime import FreePartConfig
-    from repro.faults.campaign import ChaosSettings, run_target
-    from repro.faults.plan import FaultPlan, FaultRates
+    from repro.faults.campaign import ChaosSettings, slo_sweep, traced_run
     from repro.obs.report import build_report, render_report_json
-    from repro.obs.slo import evaluate_slos
-    from repro.serve.bench import standard_pipeline
-    from repro.serve.server import PipelineServer
-    from repro.sim.kernel import SimKernel
 
     # Clean traced serving run -> full report artifact.
-    server = PipelineServer(
-        kernel=SimKernel(),
-        config=FreePartConfig(trace=True),
-        pool_size=2,
-        batching=True,
-    )
-    rng = np.random.default_rng(0)
-    for tenant in range(2):
-        for index in range(2):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            server.kernel.fs.write_file(path, rng.normal(size=(16, 16)))
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    path, f"/out/tenant-{tenant}/out-{index}.png"
-                ),
-            )
-    server.drain()
-    server.shutdown()
+    server = traced_run("serve-bench", ChaosSettings(target="serve-bench"))
     kernel = server.kernel
     report = build_report(
         "serve-bench", "serve",
@@ -392,17 +359,11 @@ def bench_obs_report() -> Dict[str, Any]:
     settings = ChaosSettings(
         target="serve-bench", seed=11, campaign=5, fault_rate=0.2
     )
-    rates = FaultRates.scaled(settings.fault_rate)
-    alerting_schedules = 0
-    chaos_alerts = 0
-    for index in range(settings.campaign):
-        plan = FaultPlan(settings.schedule_seed(index), rates)
-        outcome = run_target("serve-bench", settings, plan)
-        results = evaluate_slos(outcome.request_events)
-        fired = sum(len(result.alerts) for result in results)
-        chaos_alerts += fired
-        if fired:
-            alerting_schedules += 1
+    sweep = slo_sweep(settings)
+    alerting_schedules = sweep["alerting_schedules"]
+    chaos_alerts = sum(
+        schedule["alert_count"] for schedule in sweep["schedules"]
+    )
 
     return {
         "schema": SCHEMA,

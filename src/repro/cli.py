@@ -27,6 +27,43 @@ class CliUsageError(Exception):
     """Bad command-line input: reported as a usage message, exit 2."""
 
 
+def _require_positive(*flags) -> None:
+    """Usage error unless every ``(flag, value)`` pair has value >= 1."""
+    for flag, value in flags:
+        if value < 1:
+            raise CliUsageError(f"{flag} must be >= 1, got {value}")
+
+
+def _require_rate(rate: float) -> None:
+    if rate < 0:
+        raise CliUsageError(f"--fault-rate must be >= 0, got {rate}")
+
+
+def _require_profile(profile: str) -> None:
+    from repro.serve.loadgen import PROFILE_NAMES
+
+    if profile not in PROFILE_NAMES:
+        raise CliUsageError(
+            f"unknown --profile {profile!r} "
+            f"(expected one of: {', '.join(PROFILE_NAMES)})"
+        )
+
+
+def _target_settings(target: str, args: argparse.Namespace):
+    """The ChaosSettings a command's flags give runs of ``target``."""
+    from repro.faults.campaign import ChaosSettings
+
+    flags = {
+        name: getattr(args, name)
+        for name in ("seed", "campaign", "fault_rate", "nodes", "profile")
+        if hasattr(args, name)
+    }
+    return ChaosSettings(
+        target=target, items=args.items, image_size=args.image_size,
+        **flags,
+    )
+
+
 def _cmd_apps(args: argparse.Namespace) -> int:
     from repro.apps.suite import SAMPLE_IDS, make_app
     from repro.bench.tables import render_table
@@ -240,28 +277,19 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         run_cluster_profile,
         run_profile,
     )
-    from repro.serve.loadgen import PROFILE_NAMES, generate_schedule
+    from repro.serve.loadgen import generate_schedule
 
-    if args.profile not in PROFILE_NAMES:
-        raise CliUsageError(
-            f"unknown --profile {args.profile!r} "
-            f"(expected one of: {', '.join(PROFILE_NAMES)})"
-        )
-    for flag, value in (("--min-pool", args.min_pool),
-                        ("--max-pool", args.max_pool),
-                        ("--tenants", args.tenants),
-                        ("--nodes", args.nodes)):
-        if value < 1:
-            raise CliUsageError(f"{flag} must be >= 1, got {value}")
+    _require_profile(args.profile)
+    _require_positive(("--min-pool", args.min_pool),
+                      ("--max-pool", args.max_pool),
+                      ("--tenants", args.tenants),
+                      ("--nodes", args.nodes))
     if args.max_pool < args.min_pool:
         raise CliUsageError(
             f"--max-pool ({args.max_pool}) must be >= --min-pool "
             f"({args.min_pool})"
         )
-    if args.fault_rate < 0:
-        raise CliUsageError(
-            f"--fault-rate must be >= 0, got {args.fault_rate}"
-        )
+    _require_rate(args.fault_rate)
     if args.base_rps <= 0:
         raise CliUsageError(
             f"--base-rps must be > 0, got {args.base_rps}"
@@ -331,91 +359,21 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_app_target(args: argparse.Namespace):
-    """Run one application under FreePart with tracing on."""
-    from repro.apps.base import Workload, execute_app
-    from repro.apps.suite import make_app
-    from repro.attacks.scenarios import build_gateway
-    from repro.core.runtime import FreePartConfig
-    from repro.sim.kernel import SimKernel
-
-    if args.target in ("drone", "drone-tracker"):
-        from repro.apps.drone import DroneApp
-
-        app = DroneApp()
-    else:
-        app = make_app(int(args.target))
-    kernel = SimKernel()
-    kernel.enable_tracing()
-    config = FreePartConfig(trace=True, annotations=tuple(app.annotations))
-    gateway = build_gateway("freepart", kernel, app=app, config=config)
-    workload = Workload(items=args.items, image_size=args.image_size)
-    execute_app(app, gateway, workload)
-    return kernel
-
-
-def _trace_cve_target(args: argparse.Namespace):
-    """Replay one CVE's exploit under FreePart with tracing on."""
-    from repro.attacks.scenarios import run_attack
-    from repro.sim.kernel import SimKernel
-
-    kernel = SimKernel()
-    kernel.enable_tracing()
-    run_attack(args.target, technique="freepart", kernel=kernel)
-    return kernel
-
-
-def _trace_serve_target(args: argparse.Namespace):
-    """Run a small multi-tenant serving workload with tracing on.
-
-    Returns the (shut-down) server; its kernel holds the trace, the
-    series registry, and the per-request SLO events.
-    """
-    import numpy as np
-
-    from repro.core.runtime import FreePartConfig
-    from repro.serve.bench import standard_pipeline
-    from repro.serve.server import PipelineServer
-    from repro.sim.kernel import SimKernel
-
-    server = PipelineServer(
-        kernel=SimKernel(),
-        config=FreePartConfig(trace=True),
-        pool_size=2,
-        batching=True,
-    )
-    rng = np.random.default_rng(0)
-    for t in range(2):
-        for r in range(args.items):
-            path = f"/data/tenant-{t}/in-{r}.png"
-            server.kernel.fs.write_file(
-                path, rng.normal(size=(args.image_size, args.image_size))
-            )
-            server.submit(
-                f"tenant-{t}",
-                standard_pipeline(path, f"/out/tenant-{t}/out-{r}.png"),
-            )
-    server.drain()
-    server.shutdown()
-    return server
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
+    from repro.faults.campaign import target_kind, traced_run
     from repro.obs.export import render_rollup, render_tree, to_chrome_trace
 
-    if args.target == "serve-bench":
-        kernel = _trace_serve_target(args).kernel
-    elif args.target.upper().startswith("CVE-"):
-        kernel = _trace_cve_target(args)
-    elif args.target.isdigit() or args.target in ("drone", "drone-tracker"):
-        kernel = _trace_app_target(args)
-    else:
+    _require_positive(("--items", args.items),
+                      ("--image-size", args.image_size))
+    if target_kind(args.target) not in ("app", "cve", "serve-bench"):
         raise CliUsageError(
             f"unknown trace target {args.target!r} (expected a sample id, "
             "'drone', 'serve-bench', or a CVE id)"
         )
+    run = traced_run(args.target, _target_settings(args.target, args))
+    kernel = getattr(run, "kernel", run)
     tracer = kernel.tracer
     total_ns = kernel.clock.now_ns
     if args.out:
@@ -434,116 +392,52 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_cluster_target(args: argparse.Namespace):
-    """Run a clean sharded multi-node serving workload with tracing on."""
-    import numpy as np
+def _report_cluster_run(args: argparse.Namespace):
+    """The clean sharded workload on ``--nodes`` nodes, tracing on.
 
+    Unlike the chaos ``cluster`` target (at least two nodes, so a node
+    failure has a survivor), a report runs exactly the width asked for.
+    """
+    from repro.cluster.bench import serve_sharded_workload
     from repro.cluster.kernel import ClusterKernel
-    from repro.cluster.serve import ClusterServer
-    from repro.cluster.sharding import DirectoryPartitioner
-    from repro.core.runtime import FreePartConfig
-    from repro.serve.bench import standard_pipeline
 
     cluster = ClusterKernel(nodes=args.nodes)
     cluster.enable_tracing()
-    server = ClusterServer(
-        cluster=cluster,
-        config=FreePartConfig(trace=True),
-        pool_size=2,
-        batching=True,
+    server, _, _ = serve_sharded_workload(
+        cluster, 2 * args.nodes, args.items, args.image_size
     )
-    tenants = 2 * args.nodes
-    rng = np.random.default_rng(0)
-    paths = []
-    payloads = {}
-    for tenant in range(tenants):
-        for index in range(args.items):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            paths.append(path)
-            payloads[path] = rng.normal(
-                size=(args.image_size, args.image_size)
-            )
-    manifest = DirectoryPartitioner().split(paths)
-    server.load_dataset(manifest, payloads)
-    for tenant in range(tenants):
-        server.pin_tenant_to_item(
-            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
-        )
-    for tenant in range(tenants):
-        for index in range(args.items):
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    f"/data/tenant-{tenant}/in-{index}.png",
-                    f"/out/tenant-{tenant}/out-{index}.png",
-                ),
-            )
-    server.drain()
     server.shutdown()
     return server
 
 
-def _report_chaos_extra(args: argparse.Namespace):
-    """SLO-evaluate every faulted schedule of a small chaos sweep."""
-    from repro.faults.campaign import ChaosSettings, run_target
-    from repro.faults.plan import FaultPlan, FaultRates
-    from repro.obs.slo import evaluate_slos
+def _report_inputs(server):
+    """A finished ``PipelineServer`` or ``ClusterServer`` -> the report's
+    ``(nodes, events, series, overload)``.
 
-    settings = ChaosSettings(
-        target=args.chaos_target,
-        seed=args.seed,
-        campaign=args.campaign,
-        fault_rate=args.fault_rate,
-        items=args.items,
-        image_size=args.image_size,
-        nodes=args.nodes,
-    )
-    rates = FaultRates.scaled(settings.fault_rate)
-    schedules = []
-    alerting = 0
-    for index in range(settings.campaign):
-        seed = settings.schedule_seed(index)
-        plan = FaultPlan(seed, rates)
-        outcome = run_target(settings.target, settings, plan)
-        results = evaluate_slos(outcome.request_events)
-        alert_count = sum(len(result.alerts) for result in results)
-        if alert_count:
-            alerting += 1
-        schedules.append({
-            "index": index,
-            "seed": seed,
-            "ok": outcome.ok,
-            "requests": len(outcome.request_events),
-            "errors": sum(
-                1 for event in outcome.request_events if not event.ok
-            ),
-            "alert_count": alert_count,
-            "alerts": [
-                alert.to_dict()
-                for result in results
-                for alert in result.alerts
-            ],
-        })
-    return {
-        "target": settings.target,
-        "seed": settings.seed,
-        "campaign": settings.campaign,
-        "fault_rate": settings.fault_rate,
-        "alerting_schedules": alerting,
-        "schedules": schedules,
-    }
-
-
-def _overload_extra(servers):
-    """``(label, PipelineServer)`` pairs -> the report's overload facts.
-
-    Surfaces the serving layer's pressure counters — brownout sheds,
-    admission rejections, transient-ChannelFull backoff retries — and,
-    when the elastic controllers are armed, their end-of-run posture.
+    ``overload`` surfaces each node server's pressure counters —
+    brownout sheds, admission rejections, transient-ChannelFull backoff
+    retries — and, when the elastic controllers are armed, their
+    end-of-run posture.
     """
+    from repro.obs.timeseries import TimeSeriesRegistry
+
+    if hasattr(server, "servers"):
+        servers = [(f"node{index}", node_server)
+                   for index, node_server in sorted(server.servers.items())]
+        series = TimeSeriesRegistry.merged(
+            node.kernel.series for node in server.cluster.nodes
+        )
+    else:
+        servers = [("node0", server)]
+        series = server.kernel.series
+    nodes = [(label, node_server.kernel.tracer,
+              node_server.kernel.clock.now_ns)
+             for label, node_server in servers]
+    events = [event for _, node_server in servers
+              for event in node_server.events]
     rows = []
-    for label, server in servers:
-        stats = server.stats()
+    for label, node_server in servers:
+        stats = node_server.stats()
         admission = stats["admission"]
         row = {
             "node": label,
@@ -557,114 +451,62 @@ def _overload_extra(servers):
             "send_backoff_retries": stats["send_backoff_retries"],
             "degraded_responses": stats["degraded_responses"],
         }
-        if server.autoscaler is not None:
-            row["scale_ups"] = server.autoscaler.scale_ups
-            row["scale_downs"] = server.autoscaler.scale_downs
-        if server.brownout is not None:
-            row["brownout_floor"] = server.brownout.floor
+        if node_server.autoscaler is not None:
+            row["scale_ups"] = node_server.autoscaler.scale_ups
+            row["scale_downs"] = node_server.autoscaler.scale_downs
+        if node_server.brownout is not None:
+            row["brownout_floor"] = node_server.brownout.floor
         rows.append(row)
-    return {"nodes": rows}
+    return nodes, events, series, {"nodes": rows}
+
+
+#: Report mode of each report-only target name.
+_REPORT_MODES = {
+    "serve-bench": "serve", "cluster-bench": "cluster", "chaos": "chaos",
+}
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.faults.campaign import slo_sweep, target_kind, traced_run
     from repro.obs.report import (
         build_report,
         render_report_json,
         render_report_markdown,
     )
 
-    for flag, value in (("--items", args.items),
-                        ("--image-size", args.image_size),
-                        ("--nodes", args.nodes),
-                        ("--campaign", args.campaign)):
-        if value < 1:
-            raise CliUsageError(f"{flag} must be >= 1, got {value}")
-    if args.fault_rate < 0:
-        raise CliUsageError(
-            f"--fault-rate must be >= 0, got {args.fault_rate}"
-        )
-
-    extra = None
-    if args.target == "serve-bench":
-        server = _trace_serve_target(args)
-        kernel = server.kernel
-        nodes = [("node0", kernel.tracer, kernel.clock.now_ns)]
-        events = list(server.events)
-        series = kernel.series
-        extra = {"overload": _overload_extra([("node0", server)])}
-        mode = "serve"
-    elif args.target == "cluster-bench":
-        server = _report_cluster_target(args)
-        cluster = server.cluster
-        nodes = [
-            (f"node{node.index}", node.kernel.tracer,
-             node.kernel.clock.now_ns)
-            for node in cluster.nodes
-        ]
-        events = [
-            event
-            for node_server in server.servers.values()
-            for event in node_server.events
-        ]
-        from repro.obs.timeseries import TimeSeriesRegistry
-
-        series = TimeSeriesRegistry.merged(
-            node.kernel.series for node in cluster.nodes
-        )
-        extra = {"overload": _overload_extra(
-            (f"node{index}", node_server)
-            for index, node_server in sorted(server.servers.items())
-        )}
-        mode = "cluster"
-    elif args.target == "chaos":
-        # Clean traced baseline of the chaos target for the report body;
-        # the faulted sweep's per-schedule SLO verdicts ride in `extra`.
-        if args.chaos_target == "serve-bench":
-            server = _trace_serve_target(args)
-            kernel = server.kernel
-            nodes = [("node0", kernel.tracer, kernel.clock.now_ns)]
-            events = list(server.events)
-            series = kernel.series
-            overload = _overload_extra([("node0", server)])
-        else:
-            server = _report_cluster_target(args)
-            cluster = server.cluster
-            nodes = [
-                (f"node{node.index}", node.kernel.tracer,
-                 node.kernel.clock.now_ns)
-                for node in cluster.nodes
-            ]
-            events = [
-                event
-                for node_server in server.servers.values()
-                for event in node_server.events
-            ]
-            from repro.obs.timeseries import TimeSeriesRegistry
-
-            series = TimeSeriesRegistry.merged(
-                node.kernel.series for node in cluster.nodes
-            )
-            overload = _overload_extra(
-                (f"node{index}", node_server)
-                for index, node_server in sorted(server.servers.items())
-            )
-        extra = {
-            "chaos": _report_chaos_extra(args),
-            "overload": overload,
-        }
-        mode = "chaos"
-    elif (args.target.isdigit()
-          or args.target in ("drone", "drone-tracker")):
-        kernel = _trace_app_target(args)
-        nodes = [("node0", kernel.tracer, kernel.clock.now_ns)]
-        events = []
-        series = kernel.series
+    _require_positive(("--items", args.items),
+                      ("--image-size", args.image_size),
+                      ("--nodes", args.nodes),
+                      ("--campaign", args.campaign))
+    _require_rate(args.fault_rate)
+    mode = _REPORT_MODES.get(args.target)
+    if mode is None and target_kind(args.target) == "app":
         mode = "app"
-    else:
+    if mode is None:
         raise CliUsageError(
             f"unknown report target {args.target!r} (expected a sample "
             "id, 'drone', 'serve-bench', 'cluster-bench', or 'chaos')"
         )
+
+    extra = None
+    if mode == "app":
+        kernel = traced_run(args.target, _target_settings(args.target, args))
+        nodes = [("node0", kernel.tracer, kernel.clock.now_ns)]
+        events = []
+        series = kernel.series
+    else:
+        # A chaos report's body is the clean traced run of the swept
+        # workload; the faulted sweep's per-schedule SLO verdicts ride
+        # in `extra`.
+        workload = args.chaos_target if mode == "chaos" else args.target
+        if workload == "serve-bench":
+            server = traced_run(workload, _target_settings(workload, args))
+        else:
+            server = _report_cluster_run(args)
+        nodes, events, series, overload = _report_inputs(server)
+        extra = {"overload": overload}
+        if mode == "chaos":
+            extra["chaos"] = slo_sweep(_target_settings(workload, args))
 
     report = build_report(
         args.target, mode, nodes=nodes, events=events, series=series,
@@ -695,37 +537,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.bench.tables import render_table
-    from repro.faults.campaign import ChaosSettings, run_campaign
+    from repro.faults.campaign import run_campaign
 
-    for flag, value in (("--campaign", args.campaign),
-                        ("--items", args.items),
-                        ("--image-size", args.image_size)):
-        if value < 1:
-            raise CliUsageError(f"{flag} must be >= 1, got {value}")
-    if args.fault_rate < 0:
-        raise CliUsageError(
-            f"--fault-rate must be >= 0, got {args.fault_rate}"
-        )
-    if args.nodes < 1:
-        raise CliUsageError(f"--nodes must be >= 1, got {args.nodes}")
+    _require_positive(("--campaign", args.campaign),
+                      ("--items", args.items),
+                      ("--image-size", args.image_size))
+    _require_rate(args.fault_rate)
+    _require_positive(("--nodes", args.nodes))
     if args.target == "loadgen":
-        from repro.serve.loadgen import PROFILE_NAMES
-
-        if args.profile not in PROFILE_NAMES:
-            raise CliUsageError(
-                f"unknown --profile {args.profile!r} "
-                f"(expected one of: {', '.join(PROFILE_NAMES)})"
-            )
-    settings = ChaosSettings(
-        target=args.target,
-        seed=args.seed,
-        campaign=args.campaign,
-        fault_rate=args.fault_rate,
-        items=args.items,
-        image_size=args.image_size,
-        nodes=args.nodes,
-        profile=args.profile,
-    )
+        _require_profile(args.profile)
+    settings = _target_settings(args.target, args)
     try:
         report = run_campaign(settings)
     except ValueError as exc:
@@ -764,13 +585,11 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.bench.tables import render_table
     from repro.cluster.bench import run_cluster_benchmark
 
-    for flag, value in (("--nodes", args.nodes),
-                        ("--tenants", args.tenants),
-                        ("--requests", args.requests),
-                        ("--pool-size", args.pool_size),
-                        ("--image-size", args.image_size)):
-        if value < 1:
-            raise CliUsageError(f"{flag} must be >= 1, got {value}")
+    _require_positive(("--nodes", args.nodes),
+                      ("--tenants", args.tenants),
+                      ("--requests", args.requests),
+                      ("--pool-size", args.pool_size),
+                      ("--image-size", args.image_size))
     try:
         result = run_cluster_benchmark(
             nodes=args.nodes,
@@ -857,20 +676,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _check_app_targets(targets):
     """Resolve ``--app`` values to Application instances."""
+    from repro.apps.suite import all_apps, app_for_target, is_app_target
+
     apps = []
     for target in targets:
-        if target in ("drone", "drone-tracker"):
-            from repro.apps.drone import DroneApp
-
-            apps.append(DroneApp())
-        elif target == "all":
-            from repro.apps.suite import all_apps
-
+        if target == "all":
             apps.extend(all_apps())
-        elif target.isdigit():
-            from repro.apps.suite import make_app
-
-            apps.append(make_app(int(target)))
+        elif is_app_target(target):
+            apps.append(app_for_target(target))
         else:
             raise CliUsageError(
                 f"unknown --app target {target!r} (expected a sample id, "

@@ -21,8 +21,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.runtime import FreePartConfig
 from repro.faults.plan import NoFaultPlan
 from repro.serve.bench import standard_pipeline
+from repro.serve.server import ServeResponse
 
 from repro.cluster.kernel import ClusterKernel
 from repro.cluster.serve import ClusterServer
@@ -50,10 +52,32 @@ class SingleNodeFailurePlan(NoFaultPlan):
         return None
 
 
-def _workload(
-    tenants: int, requests_per_tenant: int, image_size: int
-) -> Tuple[List[str], Dict[str, Any]]:
-    """Deterministic input paths and payloads (one rng, fixed order)."""
+def serve_sharded_workload(
+    cluster: ClusterKernel,
+    tenants: int,
+    requests_per_tenant: int,
+    image_size: int,
+    partitioner: str = "directory",
+    pool_size: int = 2,
+    config: Optional[FreePartConfig] = None,
+    max_retries: int = 1,
+) -> Tuple[ClusterServer, ShardManifest, List[ServeResponse]]:
+    """Serve the seeded sharded workload on ``cluster`` and drain it.
+
+    Generates every tenant's payloads from one rng in a fixed order,
+    splits them into a manifest, loads the dataset, pins each tenant to
+    its first item's shard and submits every request.  The one
+    definition of the sharded workload: this bench, ``repro report`` and
+    the chaos campaign all run it.  Returns the drained (not yet shut
+    down) server, the manifest and the responses.
+    """
+    server = ClusterServer(
+        cluster=cluster,
+        config=config,
+        pool_size=pool_size,
+        batching=True,
+        max_retries=max_retries,
+    )
     rng = np.random.default_rng(0)
     paths: List[str] = []
     payloads: Dict[str, Any] = {}
@@ -62,7 +86,24 @@ def _workload(
             path = f"/data/tenant-{tenant}/in-{request}.png"
             paths.append(path)
             payloads[path] = rng.normal(size=(image_size, image_size))
-    return paths, payloads
+    manifest = make_partitioner(
+        partitioner, default_shards=tenants
+    ).split(paths)
+    server.load_dataset(manifest, payloads)
+    for tenant in range(tenants):
+        server.pin_tenant_to_item(
+            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
+        )
+    for tenant in range(tenants):
+        for request in range(requests_per_tenant):
+            server.submit(
+                f"tenant-{tenant}",
+                standard_pipeline(
+                    f"/data/tenant-{tenant}/in-{request}.png",
+                    f"/out/tenant-{tenant}/out-{request}.png",
+                ),
+            )
+    return server, manifest, server.drain()
 
 
 def run_cluster_config(
@@ -75,31 +116,13 @@ def run_cluster_config(
     fault_plan: Optional[NoFaultPlan] = None,
 ) -> Tuple[ShardManifest, Dict[str, Any]]:
     """One full serving run at a node count; returns (manifest, stats)."""
-    paths, payloads = _workload(tenants, requests_per_tenant, image_size)
-    manifest = make_partitioner(
-        partitioner, default_shards=tenants
-    ).split(paths)
     cluster = ClusterKernel(nodes=nodes)
     if fault_plan is not None:
         cluster.inject_faults(fault_plan)
-    server = ClusterServer(
-        cluster=cluster, pool_size=pool_size, batching=True
+    server, manifest, responses = serve_sharded_workload(
+        cluster, tenants, requests_per_tenant, image_size,
+        partitioner=partitioner, pool_size=pool_size,
     )
-    server.load_dataset(manifest, payloads)
-    for tenant in range(tenants):
-        server.pin_tenant_to_item(
-            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
-        )
-    for tenant in range(tenants):
-        for request in range(requests_per_tenant):
-            path = f"/data/tenant-{tenant}/in-{request}.png"
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    path, f"/out/tenant-{tenant}/out-{request}.png"
-                ),
-            )
-    responses = server.drain()
     stats = server.stats()
     stats["responses"] = len(responses)
     cluster.verify_accounting()

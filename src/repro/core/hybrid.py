@@ -10,11 +10,11 @@ dynamic trace) — the input to the syscall-restriction policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.apitypes import APIType
 from repro.core.dynamic_analysis import DynamicAnalyzer, DynamicResult
-from repro.core.static_analysis import StaticAnalyzer, StaticResult
+from repro.core.static_analysis import StaticAnalyzer
 from repro.errors import UncategorizableAPI
 from repro.frameworks.base import FrameworkAPI, StatefulKind
 
@@ -81,12 +81,6 @@ class Categorization:
         good = sum(1 for e in self.entries.values() if e.matches_ground_truth)
         return good / len(self.entries)
 
-    def by_method(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for entry in self.entries.values():
-            counts[entry.method] = counts.get(entry.method, 0) + 1
-        return counts
-
 
 class HybridAnalyzer:
     """Static-then-dynamic categorizer (Fig. 5, offline phase)."""
@@ -134,11 +128,6 @@ class HybridAnalyzer:
 
     def categorize_framework(self, framework) -> Categorization:
         return self.categorize(list(framework))
-
-
-def categorize_used_apis(apis: Sequence[FrameworkAPI]) -> Categorization:
-    """Convenience wrapper used by the runtime's offline phase."""
-    return HybridAnalyzer().categorize(apis)
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,11 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.agent import AgentProcess
-from repro.core.apitypes import APIType, FrameworkState, api_type_of_state
+from repro.core.apitypes import APIType, api_type_of_state
 from repro.core.gateway import OBS_FRAMEWORK, ApiGateway, CallRecord
 from repro.core.hybrid import Categorization, HybridAnalyzer
 from repro.core.partitioner import (
@@ -27,7 +27,7 @@ from repro.core.partitioner import (
     split_processing_plan,
     sub_partition_plan,
 )
-from repro.core.policy import filter_spec_for_partition, filter_specs_for_plan
+from repro.core.policy import filter_spec_for_partition
 from repro.core.rpc import ObjectRef, ObjectStore, RemoteHandle, RpcRequest
 from repro.core.statemachine import TemporalStateMachine
 from repro.errors import (
@@ -717,13 +717,6 @@ class FreePartGateway(ApiGateway):
             agent.channel.close()
             if agent.process.alive:
                 agent.process.exit()
-
-    def agent_stats(self) -> Dict[str, Any]:
-        """Per-agent statistics keyed by partition label."""
-        return {
-            agent.partition.label: agent.stats
-            for agent in self.agents.values()
-        }
 
     def total_restarts(self) -> int:
         """Agent restarts performed so far."""

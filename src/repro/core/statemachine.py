@@ -12,8 +12,8 @@ calls it issues are not subject to the agents' seccomp filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.apitypes import APIType, FrameworkState
 from repro.obs.tracer import NULL_TRACER
@@ -63,11 +63,6 @@ class SimulatedStep:
     neutral: bool
     state_before: FrameworkState
     state_after: FrameworkState
-
-    @property
-    def transitioned(self) -> bool:
-        """True when this call changed the framework state."""
-        return self.state_before is not self.state_after
 
 
 def simulate_transitions(

@@ -23,8 +23,12 @@ import hashlib
 import json
 from typing import Any, Dict, List, Sequence
 
-from repro.faults.campaign import ChaosSettings, check_invariants, run_target
-from repro.faults.plan import FaultPlan, FaultRates
+from repro.faults.campaign import (
+    ChaosSettings,
+    check_invariants,
+    faulted_runs,
+    run_target,
+)
 
 #: Fault rates of the standard availability sweep (fault-free, 1%, 5%).
 DEFAULT_FAULT_RATES = (0.0, 0.01, 0.05)
@@ -34,18 +38,10 @@ DEFAULT_FAULT_RATES = (0.0, 0.01, 0.05)
 TENANTS = 2
 
 
-def _percentile(values: Sequence[int], pct: float) -> int:
-    """Deterministic nearest-rank percentile (0 for an empty sequence)."""
-    if not values:
-        return 0
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without floats
-    return ordered[int(rank) - 1]
-
-
 def _point(rate: float, settings: ChaosSettings, baseline) -> Dict[str, Any]:
     """Run every schedule at one fault rate and aggregate the sweep row."""
-    rates = FaultRates.scaled(rate)
+    from repro.serve.metrics import percentile
+
     per_run = TENANTS * settings.items
     ok_requests = 0
     faults = 0
@@ -53,9 +49,7 @@ def _point(rate: float, settings: ChaosSettings, baseline) -> Dict[str, Any]:
     retries = 0
     recovery_ns: List[int] = []
     invariants_held = True
-    for index in range(settings.campaign):
-        plan = FaultPlan(settings.schedule_seed(index), rates)
-        outcome = run_target(settings.target, settings, plan)
+    for _, _, outcome in faulted_runs(settings):
         ok_requests += per_run - outcome.losses_accounted
         faults += len(outcome.fault_ids)
         restarts += outcome.restarts
@@ -63,6 +57,7 @@ def _point(rate: float, settings: ChaosSettings, baseline) -> Dict[str, Any]:
         recovery_ns.append(max(0, outcome.virtual_ns - baseline.virtual_ns))
         if not all(check_invariants(baseline, outcome).values()):
             invariants_held = False
+    recovery_ns.sort()
     total = per_run * settings.campaign
     return {
         "fault_rate": rate,
@@ -73,8 +68,8 @@ def _point(rate: float, settings: ChaosSettings, baseline) -> Dict[str, Any]:
         "faults_injected": faults,
         "restarts": restarts,
         "retries": retries,
-        "p50_recovery_ns": _percentile(recovery_ns, 50),
-        "p99_recovery_ns": _percentile(recovery_ns, 99),
+        "p50_recovery_ns": percentile(recovery_ns, 0.50),
+        "p99_recovery_ns": percentile(recovery_ns, 0.99),
         "invariants_held": invariants_held,
     }
 

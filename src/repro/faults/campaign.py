@@ -26,13 +26,18 @@ of the same target:
 Everything — fault draws, virtual timing, outputs — is a pure function
 of (target, seed, rates), so a campaign report's digest is byte-stable
 across runs and machines.
+
+This module is also where every target is built: :func:`target_kind`
+resolves a name and one runner per kind builds and runs it, for chaos
+(:func:`run_target`) and for ``repro trace``/``report``
+(:func:`traced_run`) alike.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -101,6 +106,9 @@ class RunOutcome:
     scale_ups: int = 0
     #: Brownout refusals (``loadgen`` target only; 0 elsewhere).
     shed_requests: int = 0
+    #: The finished machine (see :func:`traced_run`).  NOT part of the
+    #: digest.
+    machine: Any = None
 
 
 @dataclass
@@ -221,7 +229,7 @@ def fingerprint_outputs(kernel, prefix: str = "/out") -> Dict[str, str]:
     return outputs
 
 
-def _observed_fault_ids(tracer) -> Tuple[int, ...]:
+def _observed_fault_ids(tracer) -> List[int]:
     """fault_ids of every ``fault`` obs instant the run emitted."""
     ids = []
     for span in tracer.closed_spans():
@@ -229,7 +237,7 @@ def _observed_fault_ids(tracer) -> Tuple[int, ...]:
             fault_id = span.attrs.get("fault_id")
             if fault_id is not None:
                 ids.append(int(fault_id))
-    return tuple(sorted(ids))
+    return ids
 
 
 def _frozen_writes(kernel) -> int:
@@ -245,15 +253,20 @@ def _frozen_writes(kernel) -> int:
 # ----------------------------------------------------------------------
 
 
-def _chaos_config(annotations: Tuple[Any, ...] = ()):
+def _chaos_config():
     from repro.core.runtime import FreePartConfig
 
     return FreePartConfig(
         trace=True,
-        annotations=annotations,
         rpc_retries=CHAOS_RPC_RETRIES,
         max_restarts_per_agent=CHAOS_MAX_RESTARTS,
     )
+
+
+def _server_retries(config) -> int:
+    """Serving resubmits follow the runtime's crash retries (at least
+    the server's default of one)."""
+    return max(1, config.rpc_retries) if config is not None else 1
 
 
 def _make_kernel(plan: Optional[FaultPlan]):
@@ -261,74 +274,82 @@ def _make_kernel(plan: Optional[FaultPlan]):
 
     kernel = SimKernel()
     kernel.enable_tracing()
-    injector = FaultInjector(plan) if plan is not None else None
-    if injector is not None:
-        kernel.inject_faults(injector)
-    return kernel, injector
+    if plan is not None:
+        kernel.inject_faults(FaultInjector(plan))
+    return kernel
 
 
 def _outcome(
-    kernel,
-    injector: Optional[FaultInjector],
+    kernels,
     plan: Optional[FaultPlan],
+    machine: Any,
     ok: bool,
-    failed_clean: bool,
     error: str,
-    outputs: Dict[str, str],
+    goals: Optional[Dict[str, str]] = None,
     stale_refs: int = 0,
-    restarts: int = 0,
     retries: int = 0,
     losses_accounted: int = 0,
     request_events: Tuple = (),
 ) -> RunOutcome:
-    injected = injector.injected if injector is not None else []
+    """Fold a finished run's machines into its outcome.
+
+    ``kernels`` is every machine the run used (one, or each cluster
+    node): outputs, frozen writes, restarts, injected and observed
+    faults aggregate over all of them, and the run lasts as long as its
+    slowest clock.  ``goals`` adds non-file entries to the outputs.
+    """
+    outputs: Dict[str, str] = {}
+    injected = []
+    observed: List[int] = []
+    by_kind: Dict[str, int] = {}
+    for kernel in kernels:
+        outputs.update(fingerprint_outputs(kernel))
+        injected.extend(kernel.faults.injected)
+        observed.extend(_observed_fault_ids(kernel.tracer))
+    outputs.update(goals or {})
+    for fault in injected:
+        by_kind[fault.kind.value] = by_kind.get(fault.kind.value, 0) + 1
     return RunOutcome(
         ok=ok,
-        failed_clean=failed_clean,
+        failed_clean=not ok,
         error=error,
         outputs=outputs,
-        frozen_writes=_frozen_writes(kernel),
+        frozen_writes=sum(_frozen_writes(kernel) for kernel in kernels),
         stale_refs=stale_refs,
-        fault_ids=tuple(sorted(f.fault_id for f in injected)),
-        observed_fault_ids=_observed_fault_ids(kernel.tracer),
-        injected_by_kind=(
-            injector.by_kind() if injector is not None else {}
-        ),
+        fault_ids=tuple(sorted(fault.fault_id for fault in injected)),
+        observed_fault_ids=tuple(sorted(observed)),
+        injected_by_kind=dict(sorted(by_kind.items())),
         decisions=plan.decisions if plan is not None else 0,
-        virtual_ns=kernel.clock.now_ns,
-        restarts=kernel.restarted_processes,
+        virtual_ns=max(kernel.clock.now_ns for kernel in kernels),
+        restarts=sum(kernel.restarted_processes for kernel in kernels),
         retries=retries,
         losses_accounted=losses_accounted,
         request_events=request_events,
+        machine=machine,
     )
 
 
 def _run_app(target: str, settings: ChaosSettings,
-             plan: Optional[FaultPlan]) -> RunOutcome:
-    """One run of an evaluation application (faulted when plan given)."""
+             plan: Optional[FaultPlan], config) -> RunOutcome:
+    """One run of an evaluation application (faulted when plan given).
+
+    A given ``config`` is run with the app's own annotations.
+    """
     from repro.apps.base import Workload, execute_app
+    from repro.apps.suite import app_for_target
     from repro.attacks.scenarios import build_gateway
 
-    if target in ("drone", "drone-tracker"):
-        from repro.apps.drone import DroneApp
-
-        app = DroneApp()
-    else:
-        from repro.apps.suite import make_app
-
-        app = make_app(int(target))
-    kernel, injector = _make_kernel(plan)
-    config = _chaos_config(annotations=tuple(app.annotations))
+    app = app_for_target(target)
+    kernel = _make_kernel(plan)
+    if config is not None:
+        config = replace(config, annotations=tuple(app.annotations))
     gateway = build_gateway("freepart", kernel, app=app, config=config)
     workload = Workload(items=settings.items, image_size=settings.image_size)
     report = execute_app(app, gateway, workload)
     return _outcome(
-        kernel, injector, plan,
+        [kernel], plan, kernel,
         ok=not report.failed,
-        failed_clean=report.failed,
         error=report.error,
-        outputs=fingerprint_outputs(kernel),
-        restarts=report.restarts,
         retries=gateway.retransmits,
         losses_accounted=(
             report.result.crashes_survived if report.result else 0
@@ -337,12 +358,14 @@ def _run_app(target: str, settings: ChaosSettings,
 
 
 def _run_cve(target: str, settings: ChaosSettings,
-             plan: Optional[FaultPlan]) -> RunOutcome:
-    """One protected CVE replay (the attack must stay prevented)."""
+             plan: Optional[FaultPlan], config) -> RunOutcome:
+    """One protected CVE replay (the attack must stay prevented).
+
+    A given ``config`` is used as is, annotations included.
+    """
     from repro.attacks.scenarios import run_attack
 
-    kernel, injector = _make_kernel(plan)
-    config = _chaos_config()
+    kernel = _make_kernel(plan)
     try:
         result = run_attack(
             target, technique="freepart", kernel=kernel, config=config
@@ -351,80 +374,84 @@ def _run_cve(target: str, settings: ChaosSettings,
         # Recovery machinery gave up (restart budget, retransmit cap):
         # the experiment aborted cleanly before the verdict.
         return _outcome(
-            kernel, injector, plan,
-            ok=False, failed_clean=True,
-            error=f"{type(exc).__name__}: {exc}",
-            outputs=fingerprint_outputs(kernel),
+            [kernel], plan, kernel,
+            ok=False, error=f"{type(exc).__name__}: {exc}",
         )
-    outputs = fingerprint_outputs(kernel)
-    # The attacker-goal booleans are part of the "output": a fault must
-    # never flip one of them to True.
-    for goal in ("data_corrupted", "data_exfiltrated",
-                 "host_crashed", "code_rewritten"):
-        outputs[f"goal:{goal}"] = str(getattr(result, goal))
     return _outcome(
-        kernel, injector, plan,
+        [kernel], plan, kernel,
         ok=result.delivered,
-        failed_clean=not result.delivered,
         error="" if result.delivered else "exploit aborted before arming",
-        outputs=outputs,
-        restarts=result.agent_crashes,
+        # The attacker-goal booleans are part of the "output": a fault
+        # must never flip one of them to True.
+        goals={
+            f"goal:{goal}": str(getattr(result, goal))
+            for goal in ("data_corrupted", "data_exfiltrated",
+                         "host_crashed", "code_rewritten")
+        },
         # CVE apps absorb crashes per item (crashes_survived); a crash
         # observed during the replay accounts for missing output files.
         losses_accounted=result.agent_crashes,
     )
 
 
-def _run_serve(settings: ChaosSettings,
-               plan: Optional[FaultPlan]) -> RunOutcome:
-    """One multi-tenant serving workload (2 tenants x items requests)."""
-    import numpy as np
-
-    from repro.serve.bench import standard_pipeline
-    from repro.serve.server import PipelineServer
-
-    kernel, injector = _make_kernel(plan)
-    server = PipelineServer(
-        kernel=kernel,
-        config=_chaos_config(),
-        pool_size=2,
-        batching=True,
-        max_retries=CHAOS_RPC_RETRIES,
+def _stale_refs(servers) -> int:
+    """Tenant refs that outlived the address space that minted them."""
+    return sum(
+        len(server.registry.stale_keys(server.kernel.processes()))
+        for server in servers
     )
-    rng = np.random.default_rng(0)
-    for tenant in range(2):
-        for index in range(settings.items):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            kernel.fs.write_file(
-                path,
-                rng.normal(size=(settings.image_size, settings.image_size)),
-            )
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    path, f"/out/tenant-{tenant}/out-{index}.png"
-                ),
-            )
-    responses = server.drain()
-    stale = server.registry.stale_keys(kernel.processes())
+
+
+def _request_events(servers) -> Tuple:
+    """Every node server's request events, sorted (deterministic SLO
+    evaluation input)."""
+    return tuple(sorted(
+        event for server in servers for event in server.events
+    ))
+
+
+def _drained_outcome(plan, server, node_servers, responses) -> RunOutcome:
+    """The outcome of a drained serving run, whose failed responses are
+    accounted losses; shuts the server down.
+
+    ``node_servers`` are the ``PipelineServer`` of every node (just
+    ``server`` on one machine).
+    """
     failed = [r for r in responses if not r.ok]
     outcome = _outcome(
-        kernel, injector, plan,
+        [node_server.kernel for node_server in node_servers], plan, server,
         ok=not failed,
-        failed_clean=bool(failed),
         error=failed[0].error if failed else "",
-        outputs=fingerprint_outputs(kernel),
-        stale_refs=len(stale),
+        stale_refs=_stale_refs(node_servers),
         retries=sum(r.retries for r in responses),
         losses_accounted=len(failed),
-        request_events=tuple(sorted(server.events)),
+        request_events=_request_events(node_servers),
     )
     server.shutdown()
     return outcome
 
 
-def _run_loadgen(settings: ChaosSettings,
-                 plan: Optional[FaultPlan]) -> RunOutcome:
+def _run_serve(target: str, settings: ChaosSettings,
+               plan: Optional[FaultPlan], config) -> RunOutcome:
+    """One multi-tenant serving workload (2 tenants x items requests)."""
+    from repro.serve.bench import submit_workload
+    from repro.serve.server import PipelineServer
+
+    kernel = _make_kernel(plan)
+    server = PipelineServer(
+        kernel=kernel,
+        config=config,
+        pool_size=2,
+        batching=True,
+        max_retries=_server_retries(config),
+    )
+    submit_workload(server, 2, settings.items, settings.image_size)
+    responses = server.drain()
+    return _drained_outcome(plan, server, [server], responses)
+
+
+def _run_loadgen(target: str, settings: ChaosSettings,
+                 plan: Optional[FaultPlan], config) -> RunOutcome:
     """One open-loop load-profile replay with the elastic controllers.
 
     The canonical schedule of ``settings.profile`` (same for every
@@ -433,44 +460,26 @@ def _run_loadgen(settings: ChaosSettings,
     sheds and failed responses are accounted losses: the chaos output
     invariant tolerates their missing files, never different ones.
     """
-    from repro.serve.loadbench import (
-        CONTROL_BUDGET_NS, canonical_schedule, elastic_config,
-    )
-    from repro.serve.autoscale import control_slo
+    from repro.serve.loadbench import canonical_schedule, make_server
     from repro.serve.loadgen import run_open_loop
-    from repro.serve.server import PipelineServer
 
-    kernel, injector = _make_kernel(plan)
-    server = PipelineServer(
-        kernel=kernel,
-        config=_chaos_config(),
-        pool_size=2,
-        batching=True,
-        queue_capacity=512,
-        max_retries=CHAOS_RPC_RETRIES,
-    )
-    server.enable_autoscale(
-        elastic_config(), spec=control_slo(CONTROL_BUDGET_NS)
-    )
-    server.enable_brownout()
+    kernel = _make_kernel(plan)
+    server = make_server(kernel, config, _server_retries(config))
     schedule = canonical_schedule(settings.profile, seed=settings.seed)
     result = run_open_loop(server, schedule)
-    stale = server.registry.stale_keys(kernel.processes())
     outcome = _outcome(
-        kernel, injector, plan,
+        [kernel], plan, server,
         ok=result.served_failed == 0,
-        failed_clean=result.served_failed > 0,
         error=(
             f"{result.served_failed} of {result.offered} requests failed"
             if result.served_failed else ""
         ),
-        outputs=fingerprint_outputs(kernel),
-        stale_refs=len(stale),
+        stale_refs=_stale_refs([server]),
         retries=sum(r.retries for r in server.responses),
         losses_accounted=(
             result.served_failed + result.shed + result.rejected
         ),
-        request_events=tuple(sorted(server.events)),
+        request_events=_request_events([server]),
     )
     outcome.scale_ups = server.autoscaler.scale_ups
     outcome.shed_requests = result.shed
@@ -478,127 +487,90 @@ def _run_loadgen(settings: ChaosSettings,
     return outcome
 
 
-def _run_cluster(settings: ChaosSettings,
-                 plan: Optional[FaultPlan]) -> RunOutcome:
+def _run_cluster(target: str, settings: ChaosSettings,
+                 plan: Optional[FaultPlan], config) -> RunOutcome:
     """One sharded multi-node serving workload under node failures.
 
     Arms the plan across every node (shared RNG, shared fault-id
     counter), so besides the single-machine faults the drain loop's
     node-failure hook can take whole nodes down; the server re-places
-    the dead node's shards and requests on the survivors.  Outputs,
-    frozen-write counts, stale refs, and observed fault ids aggregate
-    over all nodes.
+    the dead node's shards and requests on the survivors.  At least two
+    nodes run, so a node failure always leaves a survivor.
     """
-    import numpy as np
-
+    from repro.cluster.bench import serve_sharded_workload
     from repro.cluster.kernel import ClusterKernel
-    from repro.cluster.sharding import DirectoryPartitioner
-    from repro.cluster.serve import ClusterServer
-    from repro.serve.bench import standard_pipeline
 
     nodes = max(settings.nodes, 2)
     cluster = ClusterKernel(nodes=nodes)
     cluster.enable_tracing()
     if plan is not None:
         cluster.inject_faults(plan)
-    server = ClusterServer(
-        cluster=cluster,
-        config=_chaos_config(),
-        pool_size=2,
-        batching=True,
-        max_retries=CHAOS_RPC_RETRIES,
+    server, _, responses = serve_sharded_workload(
+        cluster, 2 * nodes, settings.items, settings.image_size,
+        config=config, max_retries=_server_retries(config),
     )
-    tenants = 2 * nodes
-    rng = np.random.default_rng(0)
-    paths = []
-    payloads = {}
-    for tenant in range(tenants):
-        for index in range(settings.items):
-            path = f"/data/tenant-{tenant}/in-{index}.png"
-            paths.append(path)
-            payloads[path] = rng.normal(
-                size=(settings.image_size, settings.image_size)
-            )
-    manifest = DirectoryPartitioner().split(paths)
-    server.load_dataset(manifest, payloads)
-    for tenant in range(tenants):
-        server.pin_tenant_to_item(
-            f"tenant-{tenant}", f"/data/tenant-{tenant}/in-0.png"
+    return _drained_outcome(
+        plan, server,
+        [server.servers[node.index] for node in cluster.nodes], responses,
+    )
+
+
+#: Runner of each kind of target; :func:`target_kind` maps names here.
+_RUNNERS = {
+    "app": _run_app,
+    "cve": _run_cve,
+    "serve-bench": _run_serve,
+    "loadgen": _run_loadgen,
+    "cluster": _run_cluster,
+}
+
+
+def target_kind(target: str) -> Optional[str]:
+    """The kind of run a target name selects, or None if unknown.
+
+    ``"app"`` for a sample id or the drone, ``"cve"`` for a CVE id,
+    else the workload's own name (``serve-bench``, ``loadgen``,
+    ``cluster``).  ``repro trace``, ``report`` and ``chaos`` all resolve
+    their targets here.
+    """
+    from repro.apps.suite import is_app_target
+
+    if target.upper().startswith("CVE-"):
+        return "cve"
+    if is_app_target(target):
+        return "app"
+    if target in ("serve-bench", "loadgen", "cluster"):
+        return target
+    return None
+
+
+def _runner(target: str):
+    kind = target_kind(target)
+    if kind is None:
+        raise ValueError(
+            f"unknown chaos target {target!r} (expected a sample id, "
+            "'drone', 'serve-bench', 'loadgen', 'cluster', or a CVE id)"
         )
-    for tenant in range(tenants):
-        for index in range(settings.items):
-            server.submit(
-                f"tenant-{tenant}",
-                standard_pipeline(
-                    f"/data/tenant-{tenant}/in-{index}.png",
-                    f"/out/tenant-{tenant}/out-{index}.png",
-                ),
-            )
-    responses = server.drain()
-    failed = [r for r in responses if not r.ok]
-    outputs: Dict[str, str] = {}
-    frozen = 0
-    stale = 0
-    restarts = 0
-    observed: List[int] = []
-    for node in cluster.nodes:
-        outputs.update(fingerprint_outputs(node.kernel))
-        frozen += _frozen_writes(node.kernel)
-        restarts += node.kernel.restarted_processes
-        observed.extend(_observed_fault_ids(node.kernel.tracer))
-        stale += len(server.servers[node.index].registry.stale_keys(
-            node.kernel.processes()
-        ))
-    injected = [
-        fault
-        for injector in cluster.injectors.values()
-        for fault in injector.injected
-    ]
-    by_kind: Dict[str, int] = {}
-    for fault in injected:
-        by_kind[fault.kind.value] = by_kind.get(fault.kind.value, 0) + 1
-    outcome = RunOutcome(
-        ok=not failed,
-        failed_clean=bool(failed),
-        error=failed[0].error if failed else "",
-        outputs=outputs,
-        frozen_writes=frozen,
-        stale_refs=stale,
-        fault_ids=tuple(sorted(f.fault_id for f in injected)),
-        observed_fault_ids=tuple(sorted(observed)),
-        injected_by_kind=dict(sorted(by_kind.items())),
-        decisions=plan.decisions if plan is not None else 0,
-        virtual_ns=cluster.makespan_ns,
-        restarts=restarts,
-        retries=sum(r.retries for r in responses),
-        losses_accounted=len(failed),
-        request_events=tuple(sorted(
-            event
-            for node_server in server.servers.values()
-            for event in node_server.events
-        )),
-    )
-    server.shutdown()
-    return outcome
+    return _RUNNERS[kind]
 
 
 def run_target(target: str, settings: ChaosSettings,
                plan: Optional[FaultPlan]) -> RunOutcome:
-    """Dispatch one run of the campaign's target."""
-    if target == "serve-bench":
-        return _run_serve(settings, plan)
-    if target == "loadgen":
-        return _run_loadgen(settings, plan)
-    if target == "cluster":
-        return _run_cluster(settings, plan)
-    if target.upper().startswith("CVE-"):
-        return _run_cve(target, settings, plan)
-    if target.isdigit() or target in ("drone", "drone-tracker"):
-        return _run_app(target, settings, plan)
-    raise ValueError(
-        f"unknown chaos target {target!r} (expected a sample id, 'drone', "
-        "'serve-bench', 'loadgen', 'cluster', or a CVE id)"
-    )
+    """One run of a target under the hardened chaos configuration,
+    faulted when ``plan`` is given."""
+    return _runner(target)(target, settings, plan, _chaos_config())
+
+
+def traced_run(target: str, settings: ChaosSettings):
+    """One fault-free run of a target under the runtime's default
+    configuration, with tracing on.
+
+    Returns the finished machine: the ``SimKernel`` of an app or CVE
+    run, the shut-down ``PipelineServer`` or ``ClusterServer`` of a
+    serving run.  ``repro trace`` and ``repro report`` read their spans,
+    series and request events from it.
+    """
+    return _runner(target)(target, settings, None, None).machine
 
 
 # ----------------------------------------------------------------------
@@ -633,9 +605,17 @@ def check_invariants(baseline: RunOutcome,
     }
 
 
+def faulted_runs(settings: ChaosSettings):
+    """Yield ``(index, seed, outcome)`` for every faulted schedule."""
+    rates = FaultRates.scaled(settings.fault_rate)
+    for index in range(settings.campaign):
+        seed = settings.schedule_seed(index)
+        plan = FaultPlan(seed, rates)
+        yield index, seed, run_target(settings.target, settings, plan)
+
+
 def run_campaign(settings: ChaosSettings) -> CampaignReport:
     """Run the baseline plus ``settings.campaign`` faulted schedules."""
-    rates = FaultRates.scaled(settings.fault_rate)
     baseline = run_target(settings.target, settings, plan=None)
     if not baseline.ok:
         raise ReproError(
@@ -645,10 +625,7 @@ def run_campaign(settings: ChaosSettings) -> CampaignReport:
     report = CampaignReport(
         settings=settings, baseline_outputs=baseline.outputs
     )
-    for index in range(settings.campaign):
-        seed = settings.schedule_seed(index)
-        plan = FaultPlan(seed, rates)
-        faulted = run_target(settings.target, settings, plan)
+    for index, seed, faulted in faulted_runs(settings):
         report.schedules.append(ScheduleResult(
             index=index,
             seed=seed,
@@ -664,3 +641,41 @@ def run_campaign(settings: ChaosSettings) -> CampaignReport:
             shed_requests=faulted.shed_requests,
         ))
     return report
+
+
+def slo_sweep(settings: ChaosSettings) -> Dict[str, Any]:
+    """SLO-evaluate the request events of every faulted schedule.
+
+    No baseline and no invariants: the sweep reports which schedules'
+    faults reached the burn-rate engine as alerts.
+    """
+    from repro.obs.slo import evaluate_slos
+
+    schedules = []
+    for index, seed, outcome in faulted_runs(settings):
+        alerts = [
+            alert.to_dict()
+            for result in evaluate_slos(outcome.request_events)
+            for alert in result.alerts
+        ]
+        schedules.append({
+            "index": index,
+            "seed": seed,
+            "ok": outcome.ok,
+            "requests": len(outcome.request_events),
+            "errors": sum(
+                1 for event in outcome.request_events if not event.ok
+            ),
+            "alert_count": len(alerts),
+            "alerts": alerts,
+        })
+    return {
+        "target": settings.target,
+        "seed": settings.seed,
+        "campaign": settings.campaign,
+        "fault_rate": settings.fault_rate,
+        "alerting_schedules": sum(
+            1 for schedule in schedules if schedule["alert_count"]
+        ),
+        "schedules": schedules,
+    }

@@ -44,6 +44,8 @@ class NullInjector:
     """Zero-cost default: hot paths check ``enabled`` and move on."""
 
     enabled = False
+    #: Nothing is ever injected.
+    injected = ()
 
     def attach(self, kernel: Any) -> None:
         pass

@@ -15,16 +15,37 @@ deterministic: the same run produces the same buckets on every machine.
 from __future__ import annotations
 
 import bisect
-import math
+import functools
+from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "ceil_rank",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_NS_BUCKETS",
 ]
+
+
+@functools.lru_cache(maxsize=64)
+def _decimal(fraction: float) -> Fraction:
+    return Fraction(str(fraction))
+
+
+def ceil_rank(fraction: float, count: int) -> int:
+    """The 1-based nearest rank ``ceil(fraction * count)``, at least 1.
+
+    Every quantile in the repo goes through this one definition.  The
+    fraction is read as the decimal it prints as, and the product is
+    exact integer arithmetic: p7 of 100 samples is rank 7, where the
+    float product ``0.07 * 100 = 7.000000000000001`` would round up to
+    8.  Callers clamp ranks above ``count`` their own way.
+    """
+    exact = _decimal(fraction)
+    return max(1, -(-exact.numerator * count // exact.denominator))
+
 
 #: Geometric ladder from 1 µs to ~17 minutes of virtual time — wide
 #: enough for every latency this simulation produces, fixed so snapshots
@@ -115,7 +136,7 @@ class Histogram:
         """
         if self.count == 0:
             return None
-        rank = max(1, math.ceil(fraction * self.count))
+        rank = ceil_rank(fraction, self.count)
         cumulative = 0
         for index, bucket_count in enumerate(self.bucket_counts):
             cumulative += bucket_count

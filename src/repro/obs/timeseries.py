@@ -26,6 +26,8 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.obs.metrics import ceil_rank
+
 __all__ = [
     "DEFAULT_WINDOW_NS",
     "QUANTILE_GRID",
@@ -116,7 +118,7 @@ class FixedGridSketch:
         """
         if self.count == 0:
             return 0
-        rank = max(1, -(-int(fraction * self.count * 1_000_000) // 1_000_000))
+        rank = ceil_rank(fraction, self.count)
         cumulative = 0
         for slot in sorted(self.counts):
             cumulative += self.counts[slot]

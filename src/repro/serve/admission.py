@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro.errors import AdmissionRejected
 from repro.sim.clock import VirtualClock
@@ -173,6 +173,3 @@ class AdmissionQueue:
     def pending_for(self, tenant_id: str) -> int:
         queue = self._queues.get(tenant_id)
         return len(queue) if queue is not None else 0
-
-    def tenants_waiting(self) -> List[str]:
-        return list(self._queues)

@@ -11,7 +11,7 @@ clock.  Both the ``repro serve-bench`` CLI subcommand and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -30,7 +30,16 @@ def standard_pipeline(path: str, out: str) -> List[ApiCall]:
     ]
 
 
-def _load(server, tenants: int, requests: int, image_size: int) -> None:
+def submit_workload(
+    server, tenants: int, requests: int, image_size: int
+) -> None:
+    """Seed and submit the multi-tenant serving workload.
+
+    Tenant ``t``'s request ``r`` reads ``/data/tenant-t/in-r.png`` (a
+    seeded ``image_size`` square) and writes ``/out/tenant-t/out-r.png``.
+    The one definition of the workload every serving run drives: this
+    bench, ``repro trace``/``report`` and the chaos campaign.
+    """
     rng = np.random.default_rng(0)
     for t in range(tenants):
         for r in range(requests):
@@ -46,7 +55,7 @@ def _load(server, tenants: int, requests: int, image_size: int) -> None:
 
 def _measure(server, tenants: int, requests: int, image_size: int
              ) -> Dict[str, Any]:
-    _load(server, tenants, requests, image_size)
+    submit_workload(server, tenants, requests, image_size)
     responses = server.drain()
     failed = [r for r in responses if not r.ok]
     if failed:

@@ -53,6 +53,7 @@ __all__ = [
     "canonical_profile",
     "canonical_schedule",
     "elastic_config",
+    "make_server",
     "run_profile",
     "run_cluster_profile",
     "run_loadgen_benchmark",
@@ -115,68 +116,76 @@ def elastic_config(
     )
 
 
-def _make_server(
-    fault_rate: float,
-    seed: int,
-    elastic: bool,
+def _config(fault_rate: float):
+    """Faulted runs harden the runtime: crash retries, a restart budget."""
+    from repro.core.runtime import FreePartConfig
+
+    if fault_rate > 0:
+        return FreePartConfig(rpc_retries=2, max_restarts_per_agent=8)
+    return FreePartConfig()
+
+
+def arm_elastic(
+    server,
     pool_size: int = FIXED_POOL,
     max_pool: int = MAX_POOL,
+    brownout_spec=None,
+) -> None:
+    """Attach the benchmark's autoscaler and brownout tier to a server.
+
+    The autoscaler burns against the tight control budget (act early);
+    the brownout is the last-resort tier and burns against
+    ``brownout_spec`` (the controller's default SLO when None).
+    """
+    server.enable_autoscale(
+        elastic_config(pool_size, max_pool),
+        spec=control_slo(CONTROL_BUDGET_NS),
+    )
+    server.enable_brownout(spec=brownout_spec)
+
+
+def make_server(
+    kernel,
+    config,
+    max_retries: int,
+    elastic: bool = True,
+    pool_size: int = FIXED_POOL,
+    max_pool: int = MAX_POOL,
+    brownout_spec=None,
 ):
-    from repro.core.runtime import FreePartConfig
+    """The open-loop server: batching on, a 512-deep admission queue,
+    and with ``elastic`` the controllers of :func:`arm_elastic`.
+
+    The load benchmark and the chaos campaign's ``loadgen`` target both
+    build their servers here.
+    """
     from repro.serve.server import PipelineServer
-    from repro.sim.kernel import SimKernel
 
-    kernel = SimKernel()
-    if fault_rate > 0:
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan, FaultRates
-
-        kernel.enable_tracing()
-        kernel.inject_faults(
-            FaultInjector(FaultPlan(seed, FaultRates.scaled(fault_rate)))
-        )
     server = PipelineServer(
         kernel=kernel,
-        config=FreePartConfig(
-            rpc_retries=2, max_restarts_per_agent=8
-        ) if fault_rate > 0 else FreePartConfig(),
+        config=config,
         pool_size=pool_size,
         batching=True,
         queue_capacity=512,
-        max_retries=2 if fault_rate > 0 else 1,
+        max_retries=max_retries,
     )
     if elastic:
-        # The autoscaler burns against the tight control budget (act
-        # early); the brownout is the last-resort tier and only sheds
-        # once the *judged* budget itself is burning.
-        server.enable_autoscale(
-            elastic_config(pool_size, max_pool),
-            spec=control_slo(CONTROL_BUDGET_NS),
-        )
-        server.enable_brownout(spec=control_slo(BUDGET_NS))
+        arm_elastic(server, pool_size, max_pool, brownout_spec)
     return server
 
 
-def run_profile(
+def _replay_facts(
     name: str,
-    seed: int = SEED,
-    elastic: bool = False,
-    fault_rate: float = 0.0,
-    schedule: Optional[ArrivalSchedule] = None,
-    pool_size: int = FIXED_POOL,
-    max_pool: int = MAX_POOL,
+    seed: int,
+    elastic: bool,
+    fault_rate: float,
+    result: LoadgenResult,
+    events,
 ) -> Dict[str, Any]:
-    """One open-loop replay; returns the run's flattened facts."""
+    """The facts every open-loop replay reports, single node or cluster."""
     from repro.obs.slo import evaluate_slos
 
-    if schedule is None:
-        schedule = canonical_schedule(name, seed=seed)
-    server = _make_server(fault_rate, seed, elastic, pool_size, max_pool)
-    result: LoadgenResult = run_open_loop(server, schedule)
-    slo_results = evaluate_slos(server.events)
-    alerts = sum(len(r.alerts) for r in slo_results)
-    stats = server.stats()
-    out: Dict[str, Any] = {
+    return {
         "profile": name,
         "seed": seed,
         "elastic": elastic,
@@ -190,13 +199,51 @@ def run_profile(
         "served_failed": result.served_failed,
         "goodput": round(result.goodput(BUDGET_NS), 9),
         "p99_latency_ms": round(result.p99_latency_ns() / 1e6, 4),
-        "slo_alerts": alerts,
-        "send_backoff_retries": stats["send_backoff_retries"],
-        "pool_size": stats["pool_size"],
+        "slo_alerts": sum(
+            len(slo.alerts) for slo in evaluate_slos(events)
+        ),
         "sheds_by_priority": dict(sorted(
             result.sheds_by_priority.items()
         )),
     }
+
+
+def run_profile(
+    name: str,
+    seed: int = SEED,
+    elastic: bool = False,
+    fault_rate: float = 0.0,
+    schedule: Optional[ArrivalSchedule] = None,
+    pool_size: int = FIXED_POOL,
+    max_pool: int = MAX_POOL,
+) -> Dict[str, Any]:
+    """One open-loop replay; returns the run's flattened facts."""
+    from repro.sim.kernel import SimKernel
+
+    if schedule is None:
+        schedule = canonical_schedule(name, seed=seed)
+    kernel = SimKernel()
+    if fault_rate > 0:
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, FaultRates
+
+        kernel.enable_tracing()
+        kernel.inject_faults(
+            FaultInjector(FaultPlan(seed, FaultRates.scaled(fault_rate)))
+        )
+    # The brownout sheds only once the *judged* budget itself burns.
+    server = make_server(
+        kernel, _config(fault_rate),
+        max_retries=2 if fault_rate > 0 else 1,
+        elastic=elastic, pool_size=pool_size, max_pool=max_pool,
+        brownout_spec=control_slo(BUDGET_NS),
+    )
+    result: LoadgenResult = run_open_loop(server, schedule)
+    stats = server.stats()
+    out = _replay_facts(name, seed, elastic, fault_rate, result,
+                        server.events)
+    out["send_backoff_retries"] = stats["send_backoff_retries"]
+    out["pool_size"] = stats["pool_size"]
     if elastic:
         out["scale_ups"] = server.autoscaler.scale_ups
         out["scale_downs"] = server.autoscaler.scale_downs
@@ -228,8 +275,6 @@ def run_cluster_profile(
     """
     from repro.cluster.kernel import ClusterKernel
     from repro.cluster.serve import ClusterServer
-    from repro.core.runtime import FreePartConfig
-    from repro.obs.slo import evaluate_slos
     from repro.serve.loadgen import run_open_loop_cluster
 
     if schedule is None:
@@ -244,9 +289,7 @@ def run_cluster_profile(
         )
     server = ClusterServer(
         cluster=cluster,
-        config=FreePartConfig(
-            rpc_retries=2, max_restarts_per_agent=8
-        ) if fault_rate > 0 else FreePartConfig(),
+        config=_config(fault_rate),
         pool_size=pool_size,
         batching=True,
         queue_capacity=512,
@@ -254,52 +297,32 @@ def run_cluster_profile(
     )
     if elastic:
         for node_server in server.servers.values():
-            node_server.enable_autoscale(
-                elastic_config(pool_size, max_pool),
-                spec=control_slo(CONTROL_BUDGET_NS),
+            arm_elastic(
+                node_server, pool_size, max_pool,
+                brownout_spec=control_slo(BUDGET_NS),
             )
-            node_server.enable_brownout(spec=control_slo(BUDGET_NS))
     result: LoadgenResult = run_open_loop_cluster(server, schedule)
     events = sorted(
         event
         for node_server in server.servers.values()
         for event in node_server.events
     )
-    alerts = sum(len(r.alerts) for r in evaluate_slos(events))
-    out: Dict[str, Any] = {
-        "profile": name,
-        "seed": seed,
-        "nodes": nodes,
-        "elastic": elastic,
-        "fault_rate": fault_rate,
-        "schedule_digest": result.schedule_digest,
-        "offered": result.offered,
-        "admitted": result.admitted,
-        "rejected": result.rejected,
-        "shed": result.shed,
-        "served_ok": result.served_ok,
-        "served_failed": result.served_failed,
-        "goodput": round(result.goodput(BUDGET_NS), 9),
-        "p99_latency_ms": round(result.p99_latency_ns() / 1e6, 4),
-        "slo_alerts": alerts,
-        "sheds_by_priority": dict(sorted(
-            result.sheds_by_priority.items()
-        )),
-        "per_node": {
-            f"node{index}": {
-                "pool_size": node_server.stats()["pool_size"],
-                "requests": len(node_server.events),
-                "scale_ups": (
-                    node_server.autoscaler.scale_ups
-                    if node_server.autoscaler is not None else 0
-                ),
-                "shed": (
-                    node_server.brownout.shed_requests
-                    if node_server.brownout is not None else 0
-                ),
-            }
-            for index, node_server in sorted(server.servers.items())
-        },
+    out = _replay_facts(name, seed, elastic, fault_rate, result, events)
+    out["nodes"] = nodes
+    out["per_node"] = {
+        f"node{index}": {
+            "pool_size": node_server.stats()["pool_size"],
+            "requests": len(node_server.events),
+            "scale_ups": (
+                node_server.autoscaler.scale_ups
+                if node_server.autoscaler is not None else 0
+            ),
+            "shed": (
+                node_server.brownout.shed_requests
+                if node_server.brownout is not None else 0
+            ),
+        }
+        for index, node_server in sorted(server.servers.items())
     }
     if elastic:
         out["scale_ups"] = sum(

@@ -14,11 +14,10 @@ Throughput = completed requests / makespan.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, ceil_rank
 from repro.sim.clock import NS_PER_SEC
 
 
@@ -45,17 +44,16 @@ class RequestTiming:
 def percentile(sorted_values: List[int], fraction: float) -> int:
     """Nearest-rank percentile over a pre-sorted sample.
 
-    Uses the ceil-rank definition ``rank = ceil(fraction * n) - 1``: the
-    smallest value with at least ``fraction`` of the sample at or below
-    it.  (The previous ``round(fraction * (n - 1))`` interpolation-index
+    Uses the ceil-rank definition (:func:`repro.obs.metrics.ceil_rank`,
+    clamped to ``n``): the smallest value with at least ``fraction`` of
+    the sample at or below it.  (The previous ``round(fraction * (n - 1))`` interpolation-index
     variant under-reported upper percentiles — p99 of a 10-element sample
     picked the 9th value, not the maximum.)
     """
     if not sorted_values:
         return 0
     n = len(sorted_values)
-    rank = max(0, min(n - 1, math.ceil(fraction * n) - 1))
-    return sorted_values[rank]
+    return sorted_values[min(n, ceil_rank(fraction, n)) - 1]
 
 
 class ServingTimeline:

@@ -399,13 +399,20 @@ class AddressSpace:
         self.mprotect(buffer.address, buffer.nbytes, permission)
 
     def is_writable(self, buffer_id: int) -> bool:
-        """Is every page of the buffer writable?"""
-        buffer = self.get_buffer(buffer_id)
-        try:
-            self.check(buffer.address, buffer.nbytes, Permission.WRITE)
-        except SegmentationFault:
+        """Is every page of the buffer writable?
+
+        A probe over the page bits, not a write attempt: it never faults
+        and never counts as a write denial.  An unmapped buffer is not
+        writable.
+        """
+        buffer = self._buffers.get(buffer_id)
+        if buffer is None:
             return False
-        return True
+        permissions = self._page_permissions
+        return all(
+            permissions.get(page, Permission.NONE) & Permission.WRITE
+            for page in pages_spanned(buffer.address, max(buffer.nbytes, 1))
+        )
 
     # ------------------------------------------------------------------
     # Data access

@@ -205,13 +205,6 @@ class ModuleSummary:
     #: Module-level assigned names (shared-state bases for escape checks).
     module_level_names: Set[str] = field(default_factory=set)
 
-    def all_events(self) -> List[TraceEvent]:
-        """Every event across every function (declaration order)."""
-        events: List[TraceEvent] = []
-        for trace in self.functions.values():
-            events.extend(trace.events)
-        return events
-
 
 # ----------------------------------------------------------------------
 # Literal resolution helpers

@@ -120,13 +120,6 @@ class FunctionReport:
     frozen_writes: List[FrozenWriteHit] = field(default_factory=list)
     shared_stores: List[SharedStoreEvent] = field(default_factory=list)
 
-    @property
-    def final_state(self) -> FrameworkState:
-        """The framework state after the last resolved call."""
-        if self.steps:
-            return self.steps[-1].state_after
-        return FrameworkState.INITIALIZATION
-
     def agents_used(self) -> Set[str]:
         """Every agent partition this function's plan touches."""
         return {step.agent for step in self.steps}

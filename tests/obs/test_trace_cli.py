@@ -84,3 +84,15 @@ def test_trace_unknown_target_exits_2(capsys):
 def test_numeric_target_runs_suite_app(capsys):
     assert main(["trace", "8", "--rollup"]) == 0
     assert "end-to-end virtual time:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["trace", "drone", "--items", "-1"], "--items"),
+    (["trace", "8", "--image-size", "0"], "--image-size"),
+    (["trace", "serve-bench", "--items", "0"], "--items"),
+])
+def test_trace_rejects_non_positive_workload_flags(argv, flag, capsys):
+    # Same >= 1 checks as `repro report` and `repro chaos`: a degenerate
+    # workload is a usage error, not an empty trace.
+    assert main(argv) == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err

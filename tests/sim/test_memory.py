@@ -145,6 +145,25 @@ def test_is_writable_reflects_protection(space):
     assert not space.is_writable(buffer.buffer_id)
 
 
+def test_is_writable_probes_are_not_write_denials(space):
+    # Probing a frozen buffer is not a write attempt: five probes and no
+    # write must leave the denial counter at zero.
+    buffer = space.alloc(8)
+    space.protect_buffer(buffer.buffer_id, Permission.ro())
+    for _ in range(5):
+        assert not space.is_writable(buffer.buffer_id)
+    assert space.write_denials == 0
+    with pytest.raises(SegmentationFault):
+        space.store(buffer.buffer_id, [1.0])
+    assert space.write_denials == 1
+
+
+def test_is_writable_never_faults_on_unmapped_pages(space):
+    buffer = space.alloc(8)
+    space.free(buffer.buffer_id)
+    assert not space.is_writable(buffer.buffer_id)
+
+
 def test_resident_bytes(space):
     space.alloc(100)
     space.alloc(200)
